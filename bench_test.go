@@ -238,7 +238,7 @@ func BenchmarkStudyRun(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := compiled.Run(); err != nil {
+				if _, _, err := compiled.RunResilient(context.Background(), etl.RunPolicy{}, 1); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -261,14 +261,14 @@ func BenchmarkParallelWorkflow(b *testing.B) {
 	}
 	b.Run("serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := compiled.Run(); err != nil {
+			if _, _, err := compiled.RunResilient(context.Background(), etl.RunPolicy{}, 1); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := compiled.RunParallel(context.Background(), 4); err != nil {
+			if _, _, err := compiled.RunResilient(context.Background(), etl.RunPolicy{}, 4); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -291,7 +291,7 @@ func BenchmarkGeneratedVsHand(b *testing.B) {
 	b.Run("generated", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := compiled.Run(); err != nil {
+			if _, _, err := compiled.RunResilient(context.Background(), etl.RunPolicy{}, 1); err != nil {
 				b.Fatal(err)
 			}
 		}

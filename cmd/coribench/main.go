@@ -40,11 +40,10 @@
 //
 // R7 measures the columnar storage layer: the same chunked select and hash
 // join with the worker pool pinned to 1 vs 4 workers (with byte-identical
-// output checks), the sharded-table and sharded-join paths against their
-// single-shard equivalents, and a segment-backed scan under a byte budget a
-// tenth of the file size — the warehouse-exceeds-RAM scenario. -min-par-speedup
-// gates the scan/join parallel speedup; it defaults to 0 (report only)
-// because the number is meaningless without multiple cores.
+// output checks), and a segment-backed scan under a byte budget a tenth of
+// the file size — the warehouse-exceeds-RAM scenario. -min-par-speedup gates
+// the scan/join parallel speedup; it defaults to 0 (report only) because the
+// number is meaningless without multiple cores.
 //
 // R9 measures the robustness of the serving path as a whole: an in-process
 // studyd over a crash-consistent warehouse whose filesystem executes a
@@ -274,7 +273,7 @@ func expH2(seed int64, n int) {
 	if err != nil {
 		fail(err)
 	}
-	rows, err := compiled.Run()
+	rows, _, err := compiled.RunResilient(context.Background(), etl.RunPolicy{}, 1)
 	if err != nil {
 		fail(err)
 	}
@@ -367,7 +366,7 @@ func expA2(seed int64, n int) {
 	if err != nil {
 		fail(err)
 	}
-	gen, err := compiled.Run()
+	gen, _, err := compiled.RunResilient(context.Background(), etl.RunPolicy{}, 1)
 	if err != nil {
 		fail(err)
 	}
@@ -376,7 +375,7 @@ func expA2(seed int64, n int) {
 		fail(err)
 	}
 	same := gen.EqualUnordered(hand)
-	genDur, err := timeIt(10, func() error { _, err := compiled.Run(); return err })
+	genDur, err := timeIt(10, func() error { _, _, err := compiled.RunResilient(context.Background(), etl.RunPolicy{}, 1); return err })
 	if err != nil {
 		fail(err)
 	}
@@ -614,7 +613,7 @@ func expR3(seed int64, n int) {
 		fail(err)
 	}
 	runDur, err := timeIt(reps, func() error {
-		_, err := compiled.Run()
+		_, _, err := compiled.RunResilient(context.Background(), etl.RunPolicy{}, 1)
 		return err
 	})
 	if err != nil {
@@ -624,7 +623,7 @@ func expR3(seed int64, n int) {
 	fmt.Printf("%-34s %14s\n",
 		fmt.Sprintf("vet.Study (%d diagnostics)", len(vetRep.Diags)), vetDur)
 	fmt.Printf("%-34s %14s\n", "etl.Compile", compileDur)
-	fmt.Printf("%-34s %14s\n", "compiled.Run", runDur)
+	fmt.Printf("%-34s %14s\n", "compiled.RunResilient", runDur)
 	etlDur := compileDur + runDur
 	fmt.Printf("vetting overhead vs compile+run: %.1f%%\n",
 		float64(vetDur)/float64(etlDur)*100)
@@ -786,7 +785,7 @@ func expA3(seed int64) {
 		if err != nil {
 			fail(err)
 		}
-		if _, err := compiled.Run(); err != nil {
+		if _, _, err := compiled.RunResilient(context.Background(), etl.RunPolicy{}, 1); err != nil {
 			fail(err)
 		}
 		run := time.Since(start)

@@ -44,7 +44,7 @@ func expR5(seed int64, n, clients, nreqs int, minSpeedup float64) {
 		if err != nil {
 			fail(err)
 		}
-		if _, err := compiled.Run(); err != nil {
+		if _, _, err := compiled.RunResilient(context.Background(), etl.RunPolicy{}, 1); err != nil {
 			fail(err)
 		}
 		baseLats = append(baseLats, time.Since(t0))

@@ -48,7 +48,7 @@ func expR6(seed int64, batch int, maxFlat, minDeltaSpeedup float64) {
 			fail(err)
 		}
 		warehouse := relstore.NewDB("warehouse")
-		if _, err := compiled.Refresh(warehouse); err != nil {
+		if _, err := compiled.RefreshContext(context.Background(), warehouse, etl.RunPolicy{}); err != nil {
 			fail(err)
 		}
 		cursors := etl.NewDeltaCursors()

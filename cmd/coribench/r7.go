@@ -11,7 +11,7 @@ import (
 	"guava/internal/relstore"
 )
 
-// expR7: columnar execution and segment-backed storage. Three sections over
+// expR7: columnar execution and segment-backed storage. Two sections over
 // one synthetic entity relation sized well past a chunk width:
 //
 //  1. Chunked operator parallelism — the same Select and Join run with the
@@ -21,10 +21,7 @@ import (
 //     the CI regression gate. It defaults to 0 (report only) because the
 //     speedup is meaningless on a single-core box: the pool still fans out,
 //     but there is nothing to run the chunks on.
-//  2. Hash sharding — the same predicate through a ShardedTable (one pool
-//     task per shard, per-shard locks) vs a single Table, and ShardedJoin vs
-//     Join, with unordered-equality checks on both.
-//  3. Segment-backed scans — the relation written in the v2 segment layout,
+//  2. Segment-backed scans — the relation written in the v2 segment layout,
 //     reopened under a byte budget an order of magnitude below the file
 //     size, and scanned; correctness against the in-memory Select plus the
 //     relstore.segment.* counters show the warehouse exceeding RAM while
@@ -32,7 +29,7 @@ import (
 func expR7(seed int64, n int, minParSpeedup float64) {
 	rows := n * 400
 	const workers = 4
-	fmt.Printf("== R7: columnar scans, sharding, segment-backed storage (%d rows, %d workers) ==\n", rows, workers)
+	fmt.Printf("== R7: columnar scans, segment-backed storage (%d rows, %d workers) ==\n", rows, workers)
 
 	schema := relstore.MustSchema(
 		relstore.Column{Name: "EntityKey", Type: relstore.KindInt, NotNull: true},
@@ -117,38 +114,7 @@ func expR7(seed int64, n int, minParSpeedup float64) {
 	fmt.Printf("%-34s %14s %14s %9.2fx %8d\n", "chunked select (cohort pred)", scanSeq, scanPar, scanSpeedup, scanSeqRows.Len())
 	fmt.Printf("%-34s %14s %14s %9.2fx %8d\n", "chunked hash join (entity key)", joinSeq, joinPar, joinSpeedup, joinSeqRows.Len())
 
-	// 2. Hash sharding by entity key.
-	relstore.SetParallelism(workers)
-	plain := relstore.NewTable("r7", schema)
-	sharded, err := relstore.NewShardedTable("r7s", schema, "EntityKey", workers)
-	if err != nil {
-		fail(err)
-	}
-	for _, r := range rel.Data {
-		if err := plain.Insert(r); err != nil {
-			fail(err)
-		}
-		if err := sharded.Insert(r); err != nil {
-			fail(err)
-		}
-	}
-	plainDur, plainRows := bench(workers, func() (*relstore.Rows, error) { return plain.Select(pred) })
-	shardDur, shardRows := bench(workers, func() (*relstore.Rows, error) { return sharded.Select(pred) })
-	if !plainRows.EqualUnordered(shardRows) {
-		fail(fmt.Errorf("R7: sharded select output differs from single-table select"))
-	}
-	sjoinDur, sjoinRows := bench(workers, func() (*relstore.Rows, error) {
-		return relstore.ShardedJoin(rel, dim, "EntityKey", "EntityKey", "d_")
-	})
-	if !sjoinRows.EqualUnordered(joinSeqRows) {
-		fail(fmt.Errorf("R7: sharded join output differs from join"))
-	}
-	fmt.Printf("%-34s %14s %14s %10s\n", "sharded path", "single", "sharded", "speedup")
-	fmt.Printf("%-34s %14s %14s %9.2fx\n",
-		fmt.Sprintf("table select (%d shards)", sharded.NumShards()), plainDur, shardDur, float64(plainDur)/float64(shardDur))
-	fmt.Printf("%-34s %14s %14s %9.2fx\n", "sharded join vs join", joinSeq, sjoinDur, float64(joinSeq)/float64(sjoinDur))
-
-	// 3. Segment-backed scans under a byte budget.
+	// 2. Segment-backed scans under a byte budget.
 	dir, err := os.MkdirTemp("", "coribench-r7-")
 	if err != nil {
 		fail(err)

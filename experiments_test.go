@@ -312,7 +312,7 @@ func TestHasAChildJoin(t *testing.T) {
 		LeftCol: "ProcedureID", RightCol: "ProcedureRef",
 		RightPrefix: "f", To: etl.TableRef{DB: "out", Table: "joined"},
 	}, a, b)
-	if err := w.Run(context.Background(), ctx); err != nil {
+	if _, err := w.Execute(context.Background(), ctx, etl.RunPolicy{}, 1); err != nil {
 		t.Fatal(err)
 	}
 	joined, err := ctx.DB("out").Table("joined")

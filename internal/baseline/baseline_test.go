@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"context"
 	"testing"
 
 	"guava/internal/etl"
@@ -29,7 +30,7 @@ func TestHandETLMatchesGenerated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	generated, err := compiled.Run()
+	generated, _, err := compiled.RunResilient(context.Background(), etl.RunPolicy{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestHypothesis2PrecisionRecall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := compiled.Run()
+	rows, _, err := compiled.RunResilient(context.Background(), etl.RunPolicy{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package etl
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -25,7 +26,7 @@ func TestCleaningClassifiers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := compiled.Run()
+	rows, _, err := compiled.RunResilient(context.Background(), RunPolicy{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func TestCleaningClassifiers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows2, err := compiled2.Run()
+	rows2, _, err := compiled2.RunResilient(context.Background(), RunPolicy{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

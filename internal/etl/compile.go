@@ -107,7 +107,14 @@ type Compiled struct {
 	// — so a crashed run and its resume agree on the key even when one of
 	// them runs with fault injectors installed.
 	fingerprint string
+	// stages holds each contributor's compiled select and classify
+	// queries, captured for the same reason: delta refresh runs exactly
+	// these, whatever currently wraps them in the workflow.
+	stages map[string]stages
 }
+
+// stages are one contributor's select and classify steps.
+type stages struct{ sel, classify *Query }
 
 // Fingerprint is the compiled plan's checkpoint identity (see
 // Workflow.Fingerprint), captured before any component wrapping.
@@ -194,6 +201,7 @@ func CompileTraced(ctx context.Context, spec *StudySpec) (_ *Compiled, err error
 		EntityBinds: make(map[string]*classifier.Bound),
 		ColumnBinds: make(map[string]map[string]*classifier.Bound),
 		Conditions:  make(map[string]relstore.Pred),
+		stages:      make(map[string]stages),
 	}
 	seen := map[string]bool{}
 	var unionInputs []TableRef
@@ -223,24 +231,34 @@ func CompileTraced(ctx context.Context, spec *StudySpec) (_ *Compiled, err error
 			Form:     c.Form,
 			To:       tmp1,
 		})
-		selectID := out.Workflow.Add("select/"+c.Name, &Query{
+		sel := &Query{
 			From:    tmp1,
 			Where:   relstore.And(entity.Selection(), cond),
 			Require: []string{c.Form.KeyColumn},
 			To:      tmp2,
-		}, extractID)
+		}
+		selectID := out.Workflow.Add("select/"+c.Name, sel, extractID)
 
-		// The classify derivations come from the shared helper so the delta
-		// path (RefreshDelta) re-classifies changed rows with the exact
-		// expressions the full pipeline compiled.
-		derive := out.deriveList(c)
+		// Classify derives the entity key, the contributor literal, then
+		// one CASE expression per study column.
+		derive := []relstore.Derivation{
+			{Name: EntityKeyColumn, Type: relstore.KindInt, Expr: relstore.Col(c.Form.KeyColumn)},
+			{Name: ContributorColumn, Type: relstore.KindString, Expr: relstore.Lit(relstore.Str(c.Name))},
+		}
+		for _, col := range spec.Columns {
+			derive = append(derive, relstore.Derivation{
+				Name: col.As, Type: col.Kind, Expr: cols[col.As].Case(),
+			})
+		}
 		classified := TableRef{DB: "tmp2_" + c.Name, Table: c.Form.Name + "_classified"}
-		classifyID := out.Workflow.Add("classify/"+c.Name, &Query{
+		classify := &Query{
 			From:    tmp2,
 			Derive:  derive,
 			Require: []string{EntityKeyColumn},
 			To:      classified,
-		}, selectID)
+		}
+		classifyID := out.Workflow.Add("classify/"+c.Name, classify, selectID)
+		out.stages[c.Name] = stages{sel: sel, classify: classify}
 		unionInputs = append(unionInputs, classified)
 		unionDeps = append(unionDeps, classifyID)
 	}
@@ -255,50 +273,22 @@ func CompileTraced(ctx context.Context, spec *StudySpec) (_ *Compiled, err error
 	return out, nil
 }
 
-// Run executes the compiled workflow serially. Contributor databases
-// register under "source_<name>"; temporary databases materialize on demand.
-// It returns the study output sorted by contributor and entity key for
-// stable display.
-func (c *Compiled) Run() (*relstore.Rows, error) {
-	return c.run(func(w *Workflow, env *Context) error { return w.Run(context.Background(), env) })
-}
-
-// RunParallel executes the compiled workflow with the per-contributor chains
-// running concurrently under ctx; workers bounds concurrency (<= 0 means
-// unbounded).
-func (c *Compiled) RunParallel(ctx context.Context, workers int) (*relstore.Rows, error) {
-	return c.run(func(w *Workflow, env *Context) error { return w.RunParallel(ctx, env, workers) })
-}
-
-// newEnv builds the execution context: contributor databases register under
-// "source_<name>"; temporary databases materialize on demand.
-func (c *Compiled) newEnv() *Context {
-	dbs := make(map[string]*relstore.DB, len(c.Spec.Contributors))
-	for _, ct := range c.Spec.Contributors {
-		dbs["source_"+ct.Name] = ct.DB
-	}
-	return NewContext(dbs)
-}
-
-func (c *Compiled) run(exec func(*Workflow, *Context) error) (*relstore.Rows, error) {
-	env := c.newEnv()
-	if err := exec(c.Workflow, env); err != nil {
-		return nil, err
-	}
-	return c.readOutput(env)
-}
-
-// readOutput fetches, conforms, and stably sorts the study output table.
-// The sort keys on every column — contributor and entity key first, then
-// the domain columns — so the returned relation is a pure function of the
-// output's contents: a resumed run, a degraded run re-executed, and a fresh
-// run produce byte-identical results regardless of union input order or
-// scheduling.
+// readOutput fetches the study output table in canonical form.
 func (c *Compiled) readOutput(env *Context) (*relstore.Rows, error) {
 	rows, err := c.Output.read(env)
 	if err != nil {
 		return nil, err
 	}
+	return c.canonical(rows)
+}
+
+// canonical conforms study rows to the output schema and stably sorts them.
+// The sort keys on every column — contributor and entity key first, then
+// the domain columns — so the relation is a pure function of its contents:
+// a resumed run, a degraded run re-executed, a fresh run and a delta
+// recompute produce byte-identical results regardless of union input order,
+// scheduling, or journal order.
+func (c *Compiled) canonical(rows *relstore.Rows) (*relstore.Rows, error) {
 	outSchema, err := c.Spec.OutputSchema()
 	if err != nil {
 		return nil, err
@@ -317,15 +307,22 @@ func (c *Compiled) readOutput(env *Context) (*relstore.Rows, error) {
 }
 
 // RunResilient executes the compiled workflow under a RunPolicy with the
-// given worker bound, returning the study output together with the
-// RunReport. With policy.ContinueOnError, a failing contributor chain no
-// longer takes the study down: its steps are recorded as failed/skipped,
+// given worker bound (<= 0 means one goroutine per ready step), returning
+// the study output — canonically sorted — together with the RunReport.
+// With policy.ContinueOnError, a failing contributor chain no longer takes
+// the study down: its steps are recorded as failed/skipped,
 // the final load degrades to a union of the surviving contributors, and the
 // report's DegradedContributors names what was lost. An error is returned
 // only when no usable output exists at all — structural failure,
 // cancellation, a fail-fast step error, or every contributor failing.
 func (c *Compiled) RunResilient(ctx context.Context, policy RunPolicy, workers int) (*relstore.Rows, *RunReport, error) {
-	env := c.newEnv()
+	// Contributor databases register under "source_<name>"; temporary
+	// databases materialize on demand.
+	dbs := make(map[string]*relstore.DB, len(c.Spec.Contributors))
+	for _, ct := range c.Spec.Contributors {
+		dbs["source_"+ct.Name] = ct.DB
+	}
+	env := NewContext(dbs)
 	if policy.Checkpoint != nil && policy.CheckpointKey == "" {
 		// Key checkpoints by the plan compiled, not the components as
 		// currently wrapped: fault injectors around a step must not orphan
@@ -378,7 +375,7 @@ func (c *Compiled) degradedContributors(r *RunReport) []string {
 
 // DirectEval is the reference semantics for Hypothesis #3: evaluate the
 // study by walking classifier rules directly over each contributor's naive
-// relation, with no ETL compilation. Tests assert Run ≡ DirectEval.
+// relation, with no ETL compilation. Tests assert RunResilient ≡ DirectEval.
 func DirectEval(spec *StudySpec) (*relstore.Rows, error) {
 	outSchema, err := spec.OutputSchema()
 	if err != nil {

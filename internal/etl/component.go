@@ -276,7 +276,7 @@ func (q *Query) Describe() string {
 	return sb.String()
 }
 
-// Run implements Component.
+// Run implements Component: read From, apply the query, write To.
 func (q *Query) Run(ctx context.Context, env *Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -285,8 +285,19 @@ func (q *Query) Run(ctx context.Context, env *Context) error {
 	if err != nil {
 		return fmt.Errorf("etl: query from %s: %w", q.From, err)
 	}
-	rowsIn := len(rows.Data)
+	out, err := q.apply(ctx, rows)
+	if err != nil {
+		return err
+	}
+	recordIO(ctx, len(rows.Data), len(out.Data))
+	return q.To.write(env, out)
+}
+
+// apply is the query's in-memory body, shared by Run and by delta refresh,
+// which feeds it the changed keys' rows instead of a whole staged table.
+func (q *Query) apply(ctx context.Context, rows *relstore.Rows) (*relstore.Rows, error) {
 	var out *relstore.Rows
+	var err error
 	if quar := quarantineFrom(ctx); quar != nil {
 		// Row-at-a-time evaluation so a single poison row dead-letters
 		// alone instead of failing the whole relation.
@@ -295,13 +306,12 @@ func (q *Query) Run(ctx context.Context, env *Context) error {
 		out, err = q.runBulk(rows)
 	}
 	if err != nil {
-		return fmt.Errorf("etl: query %s: %w", q.From, err)
+		return nil, fmt.Errorf("etl: query %s: %w", q.From, err)
 	}
 	if q.Distinct {
 		out = relstore.Distinct(out)
 	}
-	recordIO(ctx, rowsIn, len(out.Data))
-	return q.To.write(env, out)
+	return out, nil
 }
 
 // reqCol resolves one Require column into the output schema.

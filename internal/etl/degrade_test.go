@@ -24,7 +24,7 @@ func TestStudyDegradesGracefully(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := clean.Run()
+	want, _, err := clean.RunResilient(context.Background(), etl.RunPolicy{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestStudyTransientFaultRetries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := clean.Run()
+	want, _, err := clean.RunResilient(context.Background(), etl.RunPolicy{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestSerialParallelEquivalenceUnderFaults(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		want, err := clean.Run()
+		want, _, err := clean.RunResilient(context.Background(), etl.RunPolicy{}, 1)
 		if err != nil {
 			return false
 		}

@@ -1,6 +1,7 @@
 package etl
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"testing/quick"
@@ -46,7 +47,7 @@ func TestHypothesis3Property(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		viaETL, err := compiled.Run()
+		viaETL, _, err := compiled.RunResilient(context.Background(), RunPolicy{}, 1)
 		if err != nil {
 			return false
 		}

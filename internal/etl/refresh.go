@@ -11,10 +11,14 @@ import (
 
 // The paper's warehouse receives contributor data periodically ("Data from
 // the CORI software tool is periodically sent for inclusion in the CORI
-// warehouse"). Refresh re-runs a compiled study and merges its output into a
-// persistent warehouse table keyed by (Contributor, EntityKey): new entities
-// insert, changed entities update in place, unchanged entities are left
-// alone — so annotations and downstream extracts can rely on stable history.
+// warehouse"). A refresh recomputes study rows through the compiled select
+// and classify stages and patches them into a persistent warehouse table
+// keyed by (Contributor, EntityKey): new entities insert, changed entities
+// are replaced, unchanged entities are left alone — so annotations and
+// downstream extracts can rely on stable history. The full refresh
+// (RefreshContext) and the delta refresh (RefreshDelta) share one patch and
+// differ only in its key scope: every key of a contributor, or the keys its
+// change journal recorded.
 
 // RefreshStats summarizes one warehouse refresh.
 type RefreshStats struct {
@@ -38,25 +42,21 @@ func (s RefreshStats) String() string {
 	return out
 }
 
-// Refresh runs the study and merges its output into warehouse table
-// "Study_<name>", creating it on first refresh. It returns the merge stats.
-func (c *Compiled) Refresh(warehouse *relstore.DB) (RefreshStats, error) {
-	return c.RefreshContext(context.Background(), warehouse, RunPolicy{})
-}
-
-// RefreshContext is Refresh under a RunPolicy: the study re-runs through the
-// resilient executor (retries, timeouts, quarantine, checkpoints, graceful
-// degradation all apply), honoring ctx cancellation, and the output merges
-// into the warehouse. A degraded run merges only the surviving contributors'
-// rows; a dead contributor's existing warehouse history is left untouched,
-// never deleted — the stable-history contract of the CORI warehouse. For
-// contributors that did run, the warehouse converges to the study output:
-// entities the run no longer produces (deprecated rows, entities that fell
-// out of the selection) are removed from their groups.
+// RefreshContext re-runs the study through the resilient executor under a
+// RunPolicy (retries, timeouts, quarantine, checkpoints, graceful
+// degradation all apply), honoring ctx cancellation, and patches the output
+// into warehouse table "Study_<name>", creating it on first refresh. Every
+// contributor that ran is patched over its full key scope, so the warehouse
+// converges to the study output: entities the run no longer produces
+// (deprecated rows, entities that fell out of the selection) are removed. A
+// degraded run's dead contributors are not patched at all — their existing
+// warehouse history is left untouched, never deleted, the stable-history
+// contract of the CORI warehouse.
 //
-// The merge publishes refresh.runs/added/updated/unchanged counters into the
-// metrics registry carried by ctx (obs.MetricsFrom), so both the batch CLI
-// and the serving daemon account refresh traffic the same way.
+// The refresh publishes refresh.runs/added/updated/unchanged/removed
+// counters into the metrics registry carried by ctx (obs.MetricsFrom), so
+// both the batch CLI and the serving daemon account refresh traffic the same
+// way.
 func (c *Compiled) RefreshContext(ctx context.Context, warehouse *relstore.DB, policy RunPolicy) (RefreshStats, error) {
 	var stats RefreshStats
 	ctx, span := obs.StartSpan(ctx, "refresh "+c.Spec.Name, obs.String("study", c.Spec.Name))
@@ -68,11 +68,11 @@ func (c *Compiled) RefreshContext(ctx context.Context, warehouse *relstore.DB, p
 	if err != nil {
 		return stats, err
 	}
-	table, err := warehouse.EnsureTable(c.Output.Table, fresh.Schema)
+	table, err := c.warehouseTable(warehouse)
 	if err != nil {
 		return stats, err
 	}
-	stats, err = Merge(table, fresh, runReport.DegradedContributors...)
+	stats, err = merge(table, fresh, runReport.DegradedContributors...)
 	if err != nil {
 		return stats, err
 	}
@@ -87,114 +87,167 @@ func (c *Compiled) RefreshContext(ctx context.Context, warehouse *relstore.DB, p
 	return stats, nil
 }
 
-// refreshKey is the merge identity: (Contributor, EntityKey), read off the
-// fixed leading columns of every compiled study output.
-func refreshKey(r relstore.Row) string {
-	return r[1].Key() + "\x1f" + r[0].Key()
+// warehouseTable returns the study's warehouse table, creating it on first
+// refresh, with the (EntityKey, Contributor) indexes the patch probes by.
+func (c *Compiled) warehouseTable(warehouse *relstore.DB) (*relstore.Table, error) {
+	schema, err := c.Spec.OutputSchema()
+	if err != nil {
+		return nil, err
+	}
+	table, err := warehouse.EnsureTable(c.Output.Table, schema)
+	if err != nil {
+		return nil, err
+	}
+	for _, col := range []string{EntityKeyColumn, ContributorColumn} {
+		if err := table.CreateIndex(col); err != nil {
+			return nil, err
+		}
+	}
+	return table, nil
 }
 
-// Merge merges a freshly computed study relation into the warehouse table,
-// grouping both sides by (Contributor, EntityKey) and comparing the groups
-// as sorted multisets. Comparing whole groups — not row-by-row against a
-// point-in-time map — keeps the merge deterministic and convergent even
-// when an entity key legitimately maps to several output rows (a has-a
-// child join): re-merging identical input is always a no-op, whatever order
-// the union produced the duplicates in.
-//
-// After patching the fresh groups, Merge removes warehouse groups the run no
-// longer produced — a deprecated entity's rows must not survive a refresh, or
-// the warehouse diverges from what a from-scratch run would build. The
-// exception is degraded contributors: pass the names of contributors whose
-// chains failed (RunReport.DegradedContributors) as keepContributors and
-// their existing history is preserved verbatim, since their absence from the
-// fresh output means "didn't run", not "has no data".
-//
-// Merge is exported separately from RefreshContext so a serving layer can
-// run the (expensive) study outside its warehouse write lock and hold the
-// lock only for this merge.
-func Merge(table *relstore.Table, fresh *relstore.Rows, keepContributors ...string) (RefreshStats, error) {
+// merge patches a full study relation into the warehouse: every contributor
+// that fresh or the warehouse holds is patched over all of its keys, so
+// warehouse groups the run no longer produced are removed. The exception is
+// keepContributors — the contributors a degraded run lost
+// (RunReport.DegradedContributors), which produced no rows — whose absence
+// from fresh means "didn't run", not "has no data": they are skipped, and
+// their history stays verbatim.
+func merge(table *relstore.Table, fresh *relstore.Rows, keepContributors ...string) (RefreshStats, error) {
 	var stats RefreshStats
-	stats.Total = fresh.Len()
-
-	// Group keys on both sides are extracted through the columnar batch
-	// kernel — key-string building dominates a large merge, and each row's
-	// key is independent, so it fans out across relstore's worker pool while
-	// the ordered grouping below stays sequential and deterministic.
-	snapshot := table.Rows()
-	existingKeys := relstore.ParallelRowKeys(snapshot.Data, refreshKey)
-	existing := map[string][]relstore.Row{}
-	for i, r := range snapshot.Data {
-		existing[existingKeys[i]] = append(existing[existingKeys[i]], r)
-	}
-
-	freshKeys := relstore.ParallelRowKeys(fresh.Data, refreshKey)
-	var order []string
-	groups := map[string][]relstore.Row{}
-	for i, r := range fresh.Data {
-		k := freshKeys[i]
-		if _, seen := groups[k]; !seen {
-			order = append(order, k)
-		}
-		groups[k] = append(groups[k], r)
-	}
-
-	for _, k := range order {
-		group := groups[k]
-		old, ok := existing[k]
-		if !ok {
-			if err := table.InsertAll(group); err != nil {
-				return stats, err
-			}
-			stats.Added += len(group)
-			continue
-		}
-		if sameRowSet(old, group) {
-			stats.Unchanged += len(group)
-			continue
-		}
-		pred := relstore.And(
-			relstore.Eq(ContributorColumn, group[0][1]),
-			relstore.Eq(EntityKeyColumn, group[0][0]),
-		)
-		if _, err := table.Delete(pred); err != nil {
-			return stats, err
-		}
-		if err := table.InsertAll(group); err != nil {
-			return stats, err
-		}
-		stats.Updated += len(group)
-	}
-
-	// Stale groups: present in the warehouse, absent from the fresh run.
-	// Deleting them keeps the warehouse convergent with a from-scratch
-	// build, except for contributors the run degraded past.
 	keep := make(map[string]bool, len(keepContributors))
 	for _, name := range keepContributors {
 		keep[relstore.Str(name).Key()] = true
 	}
-	var stale []string
-	for k, old := range existing {
-		if _, live := groups[k]; live {
-			continue
+	// Contributors in fresh order, then those only the warehouse holds.
+	var names []relstore.Value
+	rows := map[string][]relstore.Row{}
+	note := func(v relstore.Value) string {
+		k := v.Key()
+		if _, seen := rows[k]; !seen {
+			names = append(names, v)
+			rows[k] = nil
 		}
-		if keep[old[0][1].Key()] {
-			continue
-		}
-		stale = append(stale, k)
+		return k
 	}
-	sort.Strings(stale)
-	for _, k := range stale {
-		old := existing[k]
-		pred := relstore.And(
-			relstore.Eq(ContributorColumn, old[0][1]),
-			relstore.Eq(EntityKeyColumn, old[0][0]),
-		)
-		if _, err := table.Delete(pred); err != nil {
+	for _, r := range fresh.Data {
+		k := note(r[1])
+		rows[k] = append(rows[k], r)
+	}
+	var last relstore.Value // NULL: equal to no contributor
+	table.Scan(func(r relstore.Row) bool {
+		if !r[1].Equal(last) {
+			last = r[1]
+			note(last)
+		}
+		return true
+	})
+	for _, name := range names {
+		if keep[name.Key()] {
+			continue
+		}
+		s, err := patch(table, name, rows[name.Key()], nil)
+		if err != nil {
 			return stats, err
 		}
-		stats.Removed += len(old)
+		stats.add(s)
 	}
 	return stats, nil
+}
+
+func (s *RefreshStats) add(o RefreshStats) {
+	s.Added += o.Added
+	s.Updated += o.Updated
+	s.Unchanged += o.Unchanged
+	s.Removed += o.Removed
+	s.Total += o.Total
+}
+
+// patch is the one warehouse write of both refresh modes. It brings one
+// contributor's warehouse groups in line with fresh, the contributor's
+// recomputed study rows, over a key scope: the entity keys fresh holds plus
+// scope, or — when scope is nil — every key the warehouse holds for the
+// contributor too. A full refresh passes nil; a delta refresh passes the
+// journal's changed keys, and warehouse groups outside them stay untouched.
+//
+// Both sides group by entity key and compare as multisets, so re-patching
+// identical input is a no-op whatever order duplicates (a has-a child join)
+// arrive in. Groups absent from the warehouse insert, identical groups are
+// left alone, changed groups are replaced, and in-scope groups fresh no
+// longer holds are removed. Existing groups arrive through one indexed
+// select; all replaced and removed groups leave in one Delete and all new
+// rows land in one InsertAll, in fresh order.
+func patch(table *relstore.Table, contributor relstore.Value, fresh []relstore.Row, scope []relstore.Value) (RefreshStats, error) {
+	stats := RefreshStats{Total: len(fresh)}
+	var order []relstore.Value
+	groups := map[string][]relstore.Row{}
+	for _, r := range fresh {
+		k := r[0].Key()
+		if _, seen := groups[k]; !seen {
+			order = append(order, r[0])
+		}
+		groups[k] = append(groups[k], r)
+	}
+	var where relstore.Pred = relstore.Eq(ContributorColumn, contributor)
+	if scope != nil {
+		where = groupsPred(contributor, append(append([]relstore.Value(nil), order...), scope...))
+	}
+	existing, err := table.Select(where)
+	if err != nil {
+		return stats, err
+	}
+	old := map[string][]relstore.Row{}
+	var stale []relstore.Value
+	for _, r := range existing.Data {
+		k := r[0].Key()
+		if _, seen := old[k]; !seen && groups[k] == nil {
+			stale = append(stale, r[0])
+		}
+		old[k] = append(old[k], r)
+	}
+
+	var doomed []relstore.Value
+	var toInsert []relstore.Row
+	for _, key := range order {
+		group, prev := groups[key.Key()], old[key.Key()]
+		switch {
+		case len(prev) == 0:
+			toInsert = append(toInsert, group...)
+			stats.Added += len(group)
+		case sameRowSet(prev, group):
+			stats.Unchanged += len(group)
+		default:
+			doomed = append(doomed, key)
+			toInsert = append(toInsert, group...)
+			stats.Updated += len(group)
+		}
+	}
+	for _, key := range stale {
+		doomed = append(doomed, key)
+		stats.Removed += len(old[key.Key()])
+	}
+	if len(doomed) > 0 {
+		if _, err := table.Delete(groupsPred(contributor, doomed)); err != nil {
+			return stats, err
+		}
+	}
+	if len(toInsert) > 0 {
+		if err := table.InsertAll(toInsert); err != nil {
+			return stats, err
+		}
+	}
+	return stats, nil
+}
+
+// groupsPred matches one contributor's rows with the given entity keys. The
+// contributor test is a one-element IN rather than an equality so Select
+// and Delete probe the entity-key index key by key, instead of preferring
+// the contributor equality and scanning that contributor's whole bucket.
+func groupsPred(contributor relstore.Value, keys []relstore.Value) relstore.Pred {
+	return relstore.And(
+		relstore.In(relstore.Col(EntityKeyColumn), keys...),
+		relstore.In(relstore.Col(ContributorColumn), contributor),
+	)
 }
 
 // sameRowSet compares two row groups as multisets, order-independently.

@@ -21,7 +21,7 @@ func TestRefreshLifecycle(t *testing.T) {
 	}
 	warehouse := relstore.NewDB("warehouse")
 
-	stats, err := compiled.Refresh(warehouse)
+	stats, err := compiled.RefreshContext(context.Background(), warehouse, RunPolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestRefreshLifecycle(t *testing.T) {
 		t.Fatalf("first refresh = %+v", stats)
 	}
 
-	stats, err = compiled.Refresh(warehouse)
+	stats, err = compiled.RefreshContext(context.Background(), warehouse, RunPolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestRefreshLifecycle(t *testing.T) {
 	if _, err := clinicA.Stack.Update(clinicA.DB, clinicA.Form, relstore.Int(1), "PacksPerDay", relstore.Float(3)); err != nil {
 		t.Fatal(err)
 	}
-	stats, err = compiled.Refresh(warehouse)
+	stats, err = compiled.RefreshContext(context.Background(), warehouse, RunPolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestMergeDeterministicUnderDuplicateKeys(t *testing.T) {
 	fresh := dupKeyRows(t, "polyp", "ulcer")
 	table := relstore.NewTable("Study_x", fresh.Schema)
 
-	stats, err := Merge(table, fresh)
+	stats, err := merge(table, fresh)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestMergeDeterministicUnderDuplicateKeys(t *testing.T) {
 	// Identical content, opposite order: still a no-op.
 	again := dupKeyRows(t, "ulcer", "polyp")
 	for i := 0; i < 3; i++ {
-		stats, err = Merge(table, again)
+		stats, err = merge(table, again)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,14 +188,14 @@ func TestMergeDeterministicUnderDuplicateKeys(t *testing.T) {
 
 	// A genuine change rewrites the whole group exactly once, then settles.
 	changed := dupKeyRows(t, "polyp", "biopsy")
-	stats, err = Merge(table, changed)
+	stats, err = merge(table, changed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.Updated != 2 || stats.Added != 0 {
 		t.Fatalf("changed merge = %+v, want 2 updated", stats)
 	}
-	stats, err = Merge(table, changed)
+	stats, err = merge(table, changed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestEmptyDeltaRefreshNoWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	warehouse := relstore.NewDB("warehouse")
-	if _, err := compiled.Refresh(warehouse); err != nil {
+	if _, err := compiled.RefreshContext(context.Background(), warehouse, RunPolicy{}); err != nil {
 		t.Fatal(err)
 	}
 	cursors := NewDeltaCursors()

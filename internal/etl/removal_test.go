@@ -33,13 +33,13 @@ func studyRows(t *testing.T, triples ...[3]string) *relstore.Rows {
 func TestMergeRemovesStaleGroups(t *testing.T) {
 	first := studyRows(t, [3]string{"1", "clinicA", "polyp"}, [3]string{"2", "clinicA", "ulcer"})
 	table := relstore.NewTable("Study_x", first.Schema)
-	if _, err := etl.Merge(table, first); err != nil {
+	if _, err := etl.MergeForTest(table, first); err != nil {
 		t.Fatal(err)
 	}
 
 	// Entity 2 vanished from the run.
 	second := studyRows(t, [3]string{"1", "clinicA", "polyp"})
-	stats, err := etl.Merge(table, second)
+	stats, err := etl.MergeForTest(table, second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestMergeRemovesStaleGroups(t *testing.T) {
 	}
 
 	// Convergent: re-merging the same input is a no-op.
-	stats, err = etl.Merge(table, second)
+	stats, err = etl.MergeForTest(table, second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,13 +70,13 @@ func TestMergeRemovesStaleGroups(t *testing.T) {
 func TestMergeKeepsDegradedContributorHistory(t *testing.T) {
 	first := studyRows(t, [3]string{"1", "clinicA", "polyp"}, [3]string{"2", "clinicB", "ulcer"})
 	table := relstore.NewTable("Study_x", first.Schema)
-	if _, err := etl.Merge(table, first); err != nil {
+	if _, err := etl.MergeForTest(table, first); err != nil {
 		t.Fatal(err)
 	}
 
 	// clinicB degraded: its rows are absent from fresh but must survive.
 	fresh := studyRows(t, [3]string{"1", "clinicA", "polyp"})
-	stats, err := etl.Merge(table, fresh, "clinicB")
+	stats, err := etl.MergeForTest(table, fresh, "clinicB")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestMergeKeepsDegradedContributorHistory(t *testing.T) {
 	}
 
 	// Without the protection the same input deletes the stale group.
-	stats, err = etl.Merge(table, fresh)
+	stats, err = etl.MergeForTest(table, fresh)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestRefreshPreservesDegradedContributorHistory(t *testing.T) {
 		t.Fatal(err)
 	}
 	warehouse := relstore.NewDB("warehouse")
-	if _, err := compiled.Refresh(warehouse); err != nil {
+	if _, err := compiled.RefreshContext(context.Background(), warehouse, etl.RunPolicy{}); err != nil {
 		t.Fatal(err)
 	}
 	table, err := warehouse.Table(compiled.Output.Table)
@@ -160,7 +160,7 @@ func TestDeltaRefreshRemovesDeprecatedEntities(t *testing.T) {
 		t.Fatal(err)
 	}
 	warehouse := relstore.NewDB("warehouse")
-	if _, err := compiled.Refresh(warehouse); err != nil {
+	if _, err := compiled.RefreshContext(context.Background(), warehouse, etl.RunPolicy{}); err != nil {
 		t.Fatal(err)
 	}
 	cursors := etl.NewDeltaCursors()
@@ -197,7 +197,7 @@ func TestDeltaRefreshRemovesDeprecatedEntities(t *testing.T) {
 
 	// Equivalence anchor: the patched warehouse matches a from-scratch build.
 	scratch := relstore.NewDB("scratch")
-	if _, err := compiled.Refresh(scratch); err != nil {
+	if _, err := compiled.RefreshContext(context.Background(), scratch, etl.RunPolicy{}); err != nil {
 		t.Fatal(err)
 	}
 	want, err := scratch.Table(compiled.Output.Table)

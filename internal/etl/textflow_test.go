@@ -56,7 +56,7 @@ func buildMixed(t *testing.T, seed int64, n, corrupt int) ([]*workload.Contribut
 // rows built from the same truth distribution.
 func TestMixedStudyRuns(t *testing.T) {
 	_, compiled := buildMixed(t, 3, 25, 0)
-	out, err := compiled.Run()
+	out, _, err := compiled.RunResilient(context.Background(), etl.RunPolicy{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -334,8 +334,7 @@ func strCmp(op CmpOp, x, y string) bool {
 }
 
 // predMask evaluates pred over all of in, chunk-parallel, returning the
-// selection mask. It is the scan kernel behind Select, Table.Select, and the
-// sharded scans.
+// selection mask. It is the scan kernel behind Select and Table.Select.
 func predMask(pred Pred, in *Rows) ([]bool, error) {
 	n := len(in.Data)
 	mask := make([]bool, n)

@@ -43,17 +43,6 @@
 // sequential execution regardless of the pool size. UnionAll and Rename are
 // pure copies and stay sequential.
 //
-// # Sharding
-//
-// Callers opt into coarser-grained parallelism by hash-sharding a relation
-// on an entity-key column: [NewShardedTable] builds an n-way [ShardedTable]
-// whose inserts route by FNV-1a hash of the key value and whose Select runs
-// one pool task per shard (each shard is an independent [Table] with its
-// own lock and indexes); [ShardRows] partitions a transient [Rows] the same
-// way, and [ShardedJoin] joins shard pairs in parallel. Sharded results are
-// deterministic — shard order, then per-shard order — but ShardedJoin's
-// output is shard-grouped rather than left-relation order.
-//
 // # Durable format
 //
 // Relations serialize in a typed line format (serial.go) that round-trips

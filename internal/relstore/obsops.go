@@ -34,14 +34,6 @@ var (
 	mBatchParallel = obs.Default.Counter("relstore.batch.parallel_ops")
 )
 
-// Sharding counters, under "relstore.shard.*": rows routed into shards,
-// sharded scans/selects, and sharded joins.
-var (
-	mShardInserts = obs.Default.Counter("relstore.shard.inserts")
-	mShardSelects = obs.Default.Counter("relstore.shard.selects")
-	mShardJoins   = obs.Default.Counter("relstore.shard.joins")
-)
-
 // Segment-store counters, under "relstore.segment.*": v2 segment blocks
 // written, lazily loaded, served from the resident cache, and evicted under
 // the memory budget.

@@ -116,7 +116,9 @@ func parseSegmentBlock(block []byte, meta segMeta, schema *Schema, segIdx int) (
 	if got := crc32.ChecksumIEEE(block); got != meta.CRC {
 		return nil, fmt.Errorf("relstore: segment %d checksum mismatch: file says %08x, block hashes to %08x", segIdx, meta.CRC, got)
 	}
-	data := make([]Row, 0, meta.Rows)
+	// Size the slice by the row lines actually present, never by the
+	// header's claim: a hostile header must not drive the allocation.
+	data := make([]Row, 0, bytes.Count(block, []byte{'\n'}))
 	for len(block) > 0 {
 		nl := bytes.IndexByte(block, '\n')
 		if nl < 0 {
@@ -145,11 +147,16 @@ func readTypedV2(br *bufio.Reader, hdr relHeader) (*Rows, error) {
 	if err != nil {
 		return nil, err
 	}
-	data := make([]Row, 0, hdr.Rows)
+	var data []Row
 	for i, meta := range hdr.Segments {
-		block := make([]byte, meta.Bytes)
-		if _, err := io.ReadFull(br, block); err != nil {
+		// The declared length is untrusted: the block grows only with the
+		// bytes the stream actually delivers.
+		block, err := io.ReadAll(io.LimitReader(br, meta.Bytes))
+		if err != nil {
 			return nil, fmt.Errorf("relstore: read segment %d: %w", i, err)
+		}
+		if int64(len(block)) != meta.Bytes {
+			return nil, fmt.Errorf("relstore: segment %d declares %d bytes, only %d remain", i, meta.Bytes, len(block))
 		}
 		rows, err := parseSegmentBlock(block, meta, schema, i)
 		if err != nil {
@@ -222,16 +229,45 @@ func OpenSegments(path string, budgetBytes int64) (*SegmentSet, error) {
 		f.Close()
 		return nil, err
 	}
-	offsets := make([]int64, len(hdr.Segments))
-	off := int64(len(hl) + 1)
-	for i, m := range hdr.Segments {
-		offsets[i] = off
-		off += m.Bytes
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	offsets, err := segmentOffsets(hdr, int64(len(hl)+1), fi.Size())
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("relstore: %s: %w", path, err)
 	}
 	return &SegmentSet{
 		f: f, schema: schema, hdr: hdr, offsets: offsets,
 		resident: make(map[int]*segEntry), budget: budgetBytes,
 	}, nil
+}
+
+// segmentOffsets lays the header's segments out after the header line and
+// checks them against the file: every block must fit in the bytes that
+// remain, every row needs at least its newline byte, and the segment row
+// counts must sum to the header's. After this, no allocation sized by the
+// header can exceed the file.
+func segmentOffsets(hdr relHeader, off, size int64) ([]int64, error) {
+	offsets := make([]int64, len(hdr.Segments))
+	rows := 0
+	for i, m := range hdr.Segments {
+		if m.Bytes < 0 || m.Bytes > size-off {
+			return nil, fmt.Errorf("segment %d declares %d bytes, only %d remain", i, m.Bytes, size-off)
+		}
+		if m.Rows < 0 || int64(m.Rows) > m.Bytes {
+			return nil, fmt.Errorf("segment %d declares %d rows in %d bytes", i, m.Rows, m.Bytes)
+		}
+		offsets[i] = off
+		off += m.Bytes
+		rows += m.Rows
+	}
+	if rows != hdr.Rows {
+		return nil, fmt.Errorf("segments hold %d rows, header says %d", rows, hdr.Rows)
+	}
+	return offsets, nil
 }
 
 // Close releases the underlying file.

@@ -6,7 +6,6 @@ import (
 
 	"guava/internal/etl"
 	"guava/internal/obs"
-	"guava/internal/relstore"
 )
 
 // The serving daemon's background cadence is where incremental refresh pays
@@ -87,15 +86,9 @@ func (s *Server) refreshDelta(ctx context.Context, st *servedStudy, kind string)
 	for name, seq := range cur.cursors.Snapshot() {
 		cursors.Set(name, seq)
 	}
-	staging := relstore.NewDB("warehouse_" + st.name)
-	next, cerr := staging.CreateTable(st.tableName, cur.table.Schema())
-	if cerr != nil {
-		err = cerr
-		return stats, err
-	}
-	_ = next.CreateIndex(etl.ContributorColumn)
-	if ierr := next.InsertAll(cur.table.Rows().Data); ierr != nil {
-		err = ierr
+	staging, next, serr := stage(st, cur, compiled)
+	if serr != nil {
+		err = serr
 		return stats, err
 	}
 

@@ -11,13 +11,13 @@ import (
 )
 
 // refresh re-runs st's plan and builds the study's next generation
-// side-by-side: a copy of the current table absorbs the merge, and only
-// then does one atomic pointer swap publish it. Extract readers keep
-// serving the pinned previous generation for the whole build — they never
-// block on the plan, the merge, or the persist. The study generation
-// advances only when the merge changed data, which is what keeps cached
-// extracts valid across no-op refreshes (a no-op republishes under the
-// same number, inheriting the on-disk directory).
+// side-by-side: etl's RefreshContext patches a staged copy of the current
+// table, and only then does one atomic pointer swap publish it. Extract
+// readers keep serving the pinned previous generation for the whole build —
+// they never block on the plan, the patch, or the persist. The study
+// generation advances only when the refresh changed data, which is what
+// keeps cached extracts valid across no-op refreshes (a no-op republishes
+// under the same number, inheriting the on-disk directory).
 func (s *Server) refresh(ctx context.Context, st *servedStudy, kind string) (etl.RefreshStats, error) {
 	st.refreshMu.Lock()
 	defer st.refreshMu.Unlock()
@@ -36,6 +36,11 @@ func (s *Server) refresh(ctx context.Context, st *servedStudy, kind string) (etl
 	if err != nil {
 		return stats, err
 	}
+	cur := st.cur.Load()
+	staging, next, err := stage(st, cur, compiled)
+	if err != nil {
+		return stats, err
+	}
 	// Seed delta cursors BEFORE running the plan: a journal entry landing
 	// while the plan executes then stays below the cursor and is picked up
 	// by the next delta (re-applying anything the plan already saw is
@@ -47,19 +52,7 @@ func (s *Server) refresh(ctx context.Context, st *servedStudy, kind string) (etl
 			cursors = nil
 		}
 	}
-	fresh, runReport, rerr := compiled.RunResilient(ctx, s.cfg.Policy, 0)
-	if rerr != nil {
-		err = rerr
-		return stats, err
-	}
-
-	cur := st.cur.Load()
-	next, berr := cloneForMerge(st, cur, fresh.Schema)
-	if berr != nil {
-		err = berr
-		return stats, err
-	}
-	stats, err = etl.Merge(next, fresh, runReport.DegradedContributors...)
+	stats, err = compiled.RefreshContext(ctx, staging, s.cfg.Policy)
 	if err != nil {
 		return stats, err
 	}
@@ -72,34 +65,35 @@ func (s *Server) refresh(ctx context.Context, st *servedStudy, kind string) (etl
 	s.persist(st, g, stats.Changed())
 	s.publish(st, g)
 
-	m := s.metrics()
-	m.Counter("refresh.runs").Inc()
-	m.Counter("refresh.added").Add(int64(stats.Added))
-	m.Counter("refresh.updated").Add(int64(stats.Updated))
-	m.Counter("refresh.unchanged").Add(int64(stats.Unchanged))
 	span.SetAttr(obs.Int("added", int64(stats.Added)), obs.Int("updated", int64(stats.Updated)),
-		obs.Int("unchanged", int64(stats.Unchanged)), obs.Int("generation", g.num))
+		obs.Int("unchanged", int64(stats.Unchanged)), obs.Int("removed", int64(stats.Removed)),
+		obs.Int("generation", g.num))
 	return stats, nil
 }
 
-// cloneForMerge builds the next generation's table: an indexed copy of the
-// current one (empty for the first refresh). The copy is what makes the
-// swap safe — the published table is never mutated.
-func cloneForMerge(st *servedStudy, cur *generation, schema *relstore.Schema) (*relstore.Table, error) {
-	if cur != nil {
-		if !cur.table.Schema().Equal(schema) {
-			return nil, fmt.Errorf("serve: study %q refresh produced a different schema", st.name)
-		}
-		schema = cur.table.Schema()
+// stage builds the private warehouse a refresh patches: a copy of the
+// current generation's table (empty before the first refresh) under the
+// compiled output's name. The copy is what makes the swap safe — the
+// published table is never mutated, so no reader observes a partial patch.
+func stage(st *servedStudy, cur *generation, compiled *etl.Compiled) (*relstore.DB, *relstore.Table, error) {
+	schema, err := compiled.Spec.OutputSchema()
+	if err != nil {
+		return nil, nil, err
 	}
-	next := relstore.NewTable(st.tableName, schema)
-	_ = next.CreateIndex(etl.ContributorColumn)
+	if cur != nil && !cur.table.Schema().Equal(schema) {
+		return nil, nil, fmt.Errorf("serve: study %q refresh produced a different schema", st.name)
+	}
+	staging := relstore.NewDB("warehouse_" + st.name)
+	next, err := staging.CreateTable(compiled.Output.Table, schema)
+	if err != nil {
+		return nil, nil, err
+	}
 	if cur != nil {
 		if err := next.InsertAll(cur.table.Rows().Data); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
-	return next, nil
+	return staging, next, nil
 }
 
 // nextGeneration assembles the successor generation object. A full refresh

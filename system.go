@@ -138,9 +138,9 @@ func (st *Study) Annotate(author, note string, at time.Time) {
 	st.Log.Add(author, note, at)
 }
 
-// Run executes the study's generated ETL workflow and returns the output
-// table.
-func (st *Study) Run() (*Rows, error) { return st.compiled.Run() }
+// Run executes the study's generated ETL workflow serially and returns the
+// output table.
+func (st *Study) Run() (*Rows, error) { return st.RunParallel(context.Background(), 1) }
 
 // DirectEval evaluates the study without ETL compilation (the Hypothesis #3
 // reference semantics).
@@ -149,7 +149,7 @@ func (st *Study) DirectEval() (*Rows, error) { return etl.DirectEval(st.spec) }
 // Refresh re-runs the study and merges its output into the warehouse table
 // "Study_<name>" — the periodic-inclusion workflow of the CORI warehouse.
 func (st *Study) Refresh(warehouse *DB) (etl.RefreshStats, error) {
-	return st.compiled.Refresh(warehouse)
+	return st.RefreshContext(context.Background(), warehouse, etl.RunPolicy{})
 }
 
 // RefreshContext is Refresh under a RunPolicy and a cancellable context:
@@ -165,7 +165,8 @@ func (st *Study) RefreshContext(ctx context.Context, warehouse *DB, policy etl.R
 // RunParallel executes the study with the per-contributor chains running
 // concurrently under ctx; workers bounds concurrency (<= 0 means unbounded).
 func (st *Study) RunParallel(ctx context.Context, workers int) (*Rows, error) {
-	return st.compiled.RunParallel(ctx, workers)
+	rows, _, err := st.RunResilient(ctx, etl.RunPolicy{}, workers)
+	return rows, err
 }
 
 // RunResilient executes the study under a fault-handling policy: per-step
