@@ -103,19 +103,12 @@ func (r TableRef) read(ctx *Context) (*relstore.Rows, error) {
 	return t.Rows(), nil
 }
 
-// write materializes rows into the referenced table, creating it.
+// write materializes rows into the referenced table, replacing any table
+// of that name. The table adopts rows.Data; stored rows are immutable, so
+// the stages pass row slices along instead of copying rows.
 func (r TableRef) write(ctx *Context, rows *relstore.Rows) error {
-	db := ctx.DB(r.DB)
-	if db.Has(r.Table) {
-		if err := db.Drop(r.Table); err != nil {
-			return err
-		}
-	}
-	t, err := db.CreateTable(r.Table, rows.Schema)
-	if err != nil {
-		return err
-	}
-	return t.InsertAll(rows.Data)
+	_, err := ctx.DB(r.DB).Replace(r.Table, rows)
+	return err
 }
 
 // Component is one ETL step.

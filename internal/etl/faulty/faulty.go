@@ -160,6 +160,8 @@ func (c *Chaos) Run(ctx context.Context, env *etl.Context) error {
 // schema (NOT NULL lifted from the poisoned column) because the store's
 // insert-time validation would otherwise make the corruption impossible to
 // plant — which is exactly what real upstream systems fail to guarantee.
+// Stored rows are shared with the tables they came from, so each poisoned
+// row is a copy; the rest of the relation is passed along as is.
 func (c *Chaos) poisonOutput(env *etl.Context) error {
 	writes := c.Writes()
 	if len(writes) == 0 {
@@ -188,16 +190,14 @@ func (c *Chaos) poisonOutput(env *etl.Context) error {
 		return fmt.Errorf("faulty: poison %s: %w", ref, err)
 	}
 	for i := 0; i < c.PoisonRows && i < len(rows.Data); i++ {
-		rows.Data[i][idx] = relstore.Null()
+		r := rows.Data[i].Clone()
+		r[idx] = relstore.Null()
+		rows.Data[i] = r
 	}
-	if err := db.Drop(ref.Table); err != nil {
+	if _, err := db.Replace(ref.Table, &relstore.Rows{Schema: schema, Data: rows.Data}); err != nil {
 		return fmt.Errorf("faulty: poison %s: %w", ref, err)
 	}
-	nt, err := db.CreateTable(ref.Table, schema)
-	if err != nil {
-		return fmt.Errorf("faulty: poison %s: %w", ref, err)
-	}
-	return nt.InsertAll(rows.Data)
+	return nil
 }
 
 // TearTruncate and TearFlip are TearFile's corruption modes.

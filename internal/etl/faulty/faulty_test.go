@@ -184,6 +184,64 @@ func TestChaosPoisonRows(t *testing.T) {
 	}
 }
 
+// TestChaosPoisonLeavesUpstreamIntact: stored rows are shared between the
+// tables a workflow passes them through, so poisoning a step's output must
+// copy the rows it nulls — the upstream table the step read from, and a
+// snapshot taken of the output before poisoning, keep their values.
+func TestChaosPoisonLeavesUpstreamIntact(t *testing.T) {
+	env := etl.NewContext(nil)
+	s := relstore.MustSchema(
+		relstore.Column{Name: "K", Type: relstore.KindInt, NotNull: true},
+		relstore.Column{Name: "V", Type: relstore.KindString},
+	)
+	var data []relstore.Row
+	for i := 1; i <= 4; i++ {
+		data = append(data, relstore.Row{relstore.Int(int64(i)), relstore.Str("v")})
+	}
+	src, err := env.DB("a").Replace("T", &relstore.Rows{Schema: s, Data: data})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := src.Rows().Clone()
+	q := &etl.Query{From: etl.TableRef{DB: "a", Table: "T"}, To: etl.TableRef{DB: "o", Table: "Q"}}
+	if err := q.Run(context.Background(), env); err != nil {
+		t.Fatal(err)
+	}
+	mid, err := env.DB("o").Table("Q")
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapshot := mid.Rows()
+	ch := &Chaos{
+		Wrapped:      &etl.Union{From: []etl.TableRef{{DB: "o", Table: "Q"}}, To: etl.TableRef{DB: "o", Table: "U"}},
+		PoisonRows:   3,
+		PoisonColumn: "K",
+	}
+	if err := ch.Run(context.Background(), env); err != nil {
+		t.Fatal(err)
+	}
+	out, err := env.DB("o").Table("U")
+	if err != nil {
+		t.Fatal(err)
+	}
+	nulls := 0
+	for _, row := range out.Rows().Data {
+		if row[0].IsNull() {
+			nulls++
+		}
+	}
+	if nulls != 3 {
+		t.Fatalf("poisoned %d rows, want 3", nulls)
+	}
+	for what, got := range map[string]*relstore.Rows{"upstream a.T": src.Rows(), "o.Q": mid.Rows(), "o.Q snapshot": snapshot} {
+		for i, row := range got.Data {
+			if !row.Equal(before.Data[i]) {
+				t.Fatalf("%s row %d = %v after poisoning, want %v", what, i, row, before.Data[i])
+			}
+		}
+	}
+}
+
 // TestTearFile: both corruption modes change the file the way their names
 // promise, and unknown modes are rejected.
 func TestTearFile(t *testing.T) {

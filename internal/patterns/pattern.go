@@ -370,15 +370,23 @@ func (s *Sink) WriteRecord(form *ui.Form, values map[string]relstore.Value) erro
 
 // Conform reorders and retypes a relation to match the target schema by
 // column name. Pattern round trips may lose column order or nullability;
-// Conform restores the naive-schema contract.
+// Conform restores the naive-schema contract. A relation that already
+// conforms — target column order, every non-NULL value of its column's
+// type — comes back with its rows as they are, under the target schema.
 func Conform(rows *relstore.Rows, target *relstore.Schema) (*relstore.Rows, error) {
 	idx := make([]int, target.Arity())
+	identity := rows.Schema.Arity() == target.Arity()
 	for i, c := range target.Columns {
 		j := rows.Schema.Index(c.Name)
 		if j < 0 {
 			return nil, fmt.Errorf("patterns: conform: missing column %q (have %s)", c.Name, rows.Schema.NameList())
 		}
 		idx[i] = j
+		identity = identity && i == j
+	}
+	if identity && typesConform(rows.Data, target) {
+		n := len(rows.Data)
+		return &relstore.Rows{Schema: target, Data: rows.Data[:n:n]}, nil
 	}
 	out := make([]relstore.Row, len(rows.Data))
 	for r, row := range rows.Data {
@@ -397,4 +405,17 @@ func Conform(rows *relstore.Rows, target *relstore.Schema) (*relstore.Rows, erro
 		out[r] = nr
 	}
 	return &relstore.Rows{Schema: target, Data: out}, nil
+}
+
+// typesConform reports whether every non-NULL value in data already has
+// its target column's type.
+func typesConform(data []relstore.Row, target *relstore.Schema) bool {
+	for _, row := range data {
+		for i, v := range row {
+			if !v.IsNull() && v.Kind() != target.Columns[i].Type {
+				return false
+			}
+		}
+	}
+	return true
 }

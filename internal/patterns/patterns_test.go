@@ -1,6 +1,8 @@
 package patterns
 
 import (
+	"fmt"
+	"math/rand"
 	"sort"
 	"strings"
 	"testing"
@@ -823,5 +825,134 @@ func TestConformErrors(t *testing.T) {
 	target2 := relstore.MustSchema(relstore.Column{Name: "A", Type: relstore.KindInt})
 	if _, err := Conform(rows, target2); err == nil {
 		t.Error("uncoercible value must fail")
+	}
+}
+
+// chainedSplitRead is the Split read as a chain of binary joins — each part
+// joined onto the accumulated relation, the duplicated key projected away,
+// the result projected to the form — kept as the reference the one-pass
+// join must reproduce row for row, in order.
+func chainedSplitRead(t *testing.T, db *relstore.DB, form FormInfo, parts [][]string, keys []relstore.Value) *relstore.Rows {
+	t.Helper()
+	var acc *relstore.Rows
+	for i := range parts {
+		tab, err := db.Table(partTable(form, i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := tab.Rows()
+		if keys != nil {
+			if rows, err = tab.Select(relstore.In(relstore.Col(form.KeyColumn), keys...)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if acc == nil {
+			acc = rows
+			continue
+		}
+		joined, err := relstore.Join(acc, rows, form.KeyColumn, form.KeyColumn, fmt.Sprintf("p%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		keep := make([]string, 0, joined.Schema.Arity()-1)
+		for _, n := range joined.Schema.Names() {
+			if n != fmt.Sprintf("p%d_%s", i, form.KeyColumn) {
+				keep = append(keep, n)
+			}
+		}
+		if acc, err = relstore.Project(joined, keep...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out, err := relstore.Project(acc, form.Schema.Names()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestSplitOnePassMatchesJoinChain: over seeded random part tables — keys
+// duplicated within a part, keys missing from some parts, an empty part,
+// the key column off the front — Read and ReadKeys return exactly the rows,
+// order and schema of the chained joins.
+func TestSplitOnePassMatchesJoinChain(t *testing.T) {
+	schema := relstore.MustSchema(
+		relstore.Column{Name: "A", Type: relstore.KindString},
+		relstore.Column{Name: "ID", Type: relstore.KindInt, NotNull: true},
+		relstore.Column{Name: "B", Type: relstore.KindFloat},
+		relstore.Column{Name: "C", Type: relstore.KindBool},
+		relstore.Column{Name: "D", Type: relstore.KindInt},
+		relstore.Column{Name: "E", Type: relstore.KindString},
+	)
+	form := FormInfo{Name: "F", KeyColumn: "ID", Schema: schema}
+	layouts := [][][]string{
+		nil,
+		{{"A", "B", "C", "D", "E"}},
+		{{"E", "A"}, {"C"}, {}, {"B", "D"}},
+		{{"D"}, {"C"}, {"B"}, {"A"}, {"E"}},
+	}
+	for seed := int64(1); seed <= 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		split := &Split{Parts: layouts[int(seed)%len(layouts)]}
+		parts, err := split.partition(form)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db := relstore.NewDB("src")
+		if err := split.Install(db, form); err != nil {
+			t.Fatal(err)
+		}
+		value := func(k relstore.Kind) relstore.Value {
+			if rng.Intn(6) == 0 {
+				return relstore.Null()
+			}
+			switch k {
+			case relstore.KindString:
+				return relstore.Str(fmt.Sprintf("s%d", rng.Intn(9)))
+			case relstore.KindFloat:
+				return relstore.Float(float64(rng.Intn(40)) / 4)
+			case relstore.KindBool:
+				return relstore.Bool(rng.Intn(2) == 0)
+			}
+			return relstore.Int(int64(rng.Intn(100)))
+		}
+		for i, part := range parts {
+			tab, err := db.Table(partTable(form, i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for n := rng.Intn(40); n > 0; n-- {
+				row := relstore.Row{relstore.Int(int64(rng.Intn(25)))}
+				for _, col := range part {
+					c, _ := schema.Col(col)
+					row = append(row, value(c.Type))
+				}
+				if err := tab.Insert(row); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		var keys []relstore.Value
+		for k := 0; k < 25; k++ {
+			if rng.Intn(3) == 0 {
+				keys = append(keys, relstore.Int(int64(k)))
+			}
+		}
+		for _, ks := range [][]relstore.Value{nil, keys, {}} {
+			want := chainedSplitRead(t, db, form, parts, ks)
+			got, err := split.readParts(db, form, ks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Schema.Equal(want.Schema) || len(got.Data) != len(want.Data) {
+				t.Fatalf("seed %d keys %v: got %d rows [%s], want %d [%s]", seed, ks,
+					len(got.Data), got.Schema.NameList(), len(want.Data), want.Schema.NameList())
+			}
+			for i := range want.Data {
+				if !got.Data[i].Equal(want.Data[i]) {
+					t.Fatalf("seed %d keys %v row %d: got %v, want %v", seed, ks, i, got.Data[i], want.Data[i])
+				}
+			}
+		}
 	}
 }

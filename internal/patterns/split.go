@@ -148,54 +148,126 @@ func (s *Split) ReadKeys(db *relstore.DB, form FormInfo, keys []relstore.Value) 
 	return s.readParts(db, form, keys)
 }
 
-// readParts joins the part tables on the key. With keys == nil every row is
-// fetched; otherwise each part is filtered to the given keys first.
+// readParts joins the part tables on the key in one pass. With keys == nil
+// every row is fetched; otherwise each part is filtered to the given keys
+// first. Parts 1..P-1 are bucketed by key; part 0 is walked in order, and
+// each key's matches are combined in part order — part 1 varying slowest —
+// writing values straight into the form's column order. That is the row
+// set and order of the chained inner joins ((p0 ⋈ p1) ⋈ p2) ⋯ projected to
+// the form, without the intermediate relations.
 func (s *Split) readParts(db *relstore.DB, form FormInfo, keys []relstore.Value) (*relstore.Rows, error) {
 	parts, err := s.partition(form)
 	if err != nil {
 		return nil, err
 	}
-	fetch := func(t *relstore.Table) (*relstore.Rows, error) {
-		if keys == nil {
-			return t.Rows(), nil
-		}
-		return t.Select(relstore.In(relstore.Col(form.KeyColumn), keys...))
-	}
-	var acc *relstore.Rows
+	fetched := make([]*relstore.Rows, len(parts))
 	for i := range parts {
 		t, err := db.Table(partTable(form, i))
 		if err != nil {
 			return nil, err
 		}
-		rows, err := fetch(t)
-		if err != nil {
-			return nil, err
-		}
-		if acc == nil {
-			acc = rows
-			continue
-		}
-		joined, err := relstore.Join(acc, rows, form.KeyColumn, form.KeyColumn, fmt.Sprintf("p%d", i))
-		if err != nil {
-			return nil, err
-		}
-		// Drop the duplicated key column from the right side.
-		keep := make([]string, 0, joined.Schema.Arity()-1)
-		dup := fmt.Sprintf("p%d_%s", i, form.KeyColumn)
-		for _, n := range joined.Schema.Names() {
-			if n != dup {
-				keep = append(keep, n)
-			}
-		}
-		acc, err = relstore.Project(joined, keep...)
-		if err != nil {
+		if keys == nil {
+			fetched[i] = t.Rows()
+		} else if fetched[i], err = t.Select(relstore.In(relstore.Col(form.KeyColumn), keys...)); err != nil {
 			return nil, err
 		}
 	}
-	if acc == nil {
+	return joinParts(form, parts, fetched)
+}
+
+// joinParts is readParts' one-pass join over the fetched part relations;
+// part i holds the key in column 0 and then the columns parts[i] names.
+func joinParts(form FormInfo, parts [][]string, fetched []*relstore.Rows) (*relstore.Rows, error) {
+	if len(fetched) == 0 {
 		return &relstore.Rows{Schema: form.Schema}, nil
 	}
-	return relstore.Project(acc, form.Schema.Names()...)
+	// Output column c comes from column srcCol[c] of part srcPart[c]; the
+	// key, assigned to no part, stays at part 0's column 0.
+	arity := form.Schema.Arity()
+	srcPart, srcCol := make([]int, arity), make([]int, arity)
+	for p, part := range parts {
+		for k, name := range part {
+			c := form.Schema.Index(name)
+			srcPart[c], srcCol[c] = p, k+1
+		}
+	}
+	cols := make([]relstore.Column, arity)
+	for c := range cols {
+		cols[c] = fetched[srcPart[c]].Schema.Columns[srcCol[c]]
+	}
+	schema, err := relstore.NewSchema(cols...)
+	if err != nil {
+		return nil, err
+	}
+
+	// Bucket parts 1..P-1 by key: buckets[key][p] lists part p's rows with
+	// that key in storage order.
+	nparts := len(fetched)
+	buckets := map[string][][]relstore.Row{}
+	var kb []byte
+	for p := 1; p < nparts; p++ {
+		for _, r := range fetched[p].Data {
+			if r[0].IsNull() {
+				continue
+			}
+			kb = r[0].AppendKey(kb[:0])
+			b := buckets[string(kb)]
+			if b == nil {
+				b = make([][]relstore.Row, nparts)
+				buckets[string(kb)] = b
+			}
+			b[p] = append(b[p], r)
+		}
+	}
+
+	out := make([]relstore.Row, 0, len(fetched[0].Data))
+	var slab []relstore.Value
+	match := make([][]relstore.Row, nparts)
+	pick := make([]int, nparts)
+rows:
+	for i, r0 := range fetched[0].Data {
+		match[0] = fetched[0].Data[i : i+1]
+		if nparts > 1 {
+			if r0[0].IsNull() {
+				continue
+			}
+			kb = r0[0].AppendKey(kb[:0])
+			b := buckets[string(kb)]
+			for p := 1; p < nparts; p++ {
+				if b == nil || len(b[p]) == 0 {
+					continue rows
+				}
+				match[p] = b[p]
+			}
+		}
+		clear(pick)
+		for {
+			if len(slab) < arity {
+				// Output rows are carved from shared slabs, one allocation
+				// per up to 256 rows instead of one per row.
+				slab = make([]relstore.Value, arity*min(256, len(fetched[0].Data)-i))
+			}
+			nr := relstore.Row(slab[:arity:arity])
+			slab = slab[arity:]
+			for c := range nr {
+				nr[c] = match[srcPart[c]][pick[srcPart[c]]][srcCol[c]]
+			}
+			out = append(out, nr)
+			// Advance the odometer over the matches, the last part varying
+			// fastest; part 0 holds the single row being walked.
+			p := nparts - 1
+			for ; p >= 0; p-- {
+				if pick[p]++; pick[p] < len(match[p]) {
+					break
+				}
+				pick[p] = 0
+			}
+			if p < 0 {
+				break
+			}
+		}
+	}
+	return &relstore.Rows{Schema: schema, Data: out}, nil
 }
 
 // Update implements Layout: the change lands in whichever part table holds

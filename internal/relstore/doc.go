@@ -10,6 +10,25 @@
 // including the pivot/un-pivot pair required by the Generic (EAV) layout of
 // Table 1.
 //
+// # Immutable shared rows
+//
+// A row, once stored in a [Table], is never mutated. [Table.Insert] and
+// [Table.Update] copy rows on the way in, and mutations replace or drop
+// whole rows rather than writing into one. Every read path — [Table.Rows],
+// [Table.Select] (indexed and scan), [Table.Lookup] and the [SegmentSet]
+// reads — therefore returns a fresh []Row whose rows are shared with the
+// store, not cloned; a snapshot is unaffected by later updates, deletes or
+// truncation because those never touch the rows it holds. [DB.Replace]
+// installs a table that adopts a relation's row slice after validating it,
+// which is how the ETL stages of Figure 6 hand relations to each other
+// without copying. Callers must treat every row they read as read-only and
+// [Row.Clone] one before changing it. [Project] with the identity column
+// list returns its input rows unchanged.
+//
+// [Value.Key] is the in-memory hash key behind indexes, joins and grouping:
+// a compact typed encoding under which Equal values always share a key.
+// Keys are never persisted.
+//
 // # Columnar execution
 //
 // Operators execute on a columnar core. A relation is still presented to

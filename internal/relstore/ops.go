@@ -140,9 +140,16 @@ func Select(in *Rows, pred Pred) (*Rows, error) {
 	return &Rows{Schema: in.Schema, Data: out}, nil
 }
 
-// Project keeps the named columns in the given order.
+// Project keeps the named columns in the given order. Naming every column
+// in schema order is the identity: the input rows come back as they are,
+// in a slice capped so an append cannot write into the input's backing
+// array.
 func Project(in *Rows, names ...string) (*Rows, error) {
 	opProject.Inc()
+	if isIdentity(in.Schema, names) {
+		n := len(in.Data)
+		return &Rows{Schema: in.Schema, Data: in.Data[:n:n]}, nil
+	}
 	schema, err := in.Schema.Project(names...)
 	if err != nil {
 		return nil, err
@@ -168,6 +175,19 @@ func Project(in *Rows, names ...string) (*Rows, error) {
 		return nil
 	})
 	return &Rows{Schema: schema, Data: out}, nil
+}
+
+// isIdentity reports whether names lists every column of s in schema order.
+func isIdentity(s *Schema, names []string) bool {
+	if len(names) != len(s.Columns) {
+		return false
+	}
+	for i, c := range s.Columns {
+		if names[i] != c.Name {
+			return false
+		}
+	}
+	return true
 }
 
 // Derivation names one computed output column.
@@ -563,12 +583,12 @@ func Pivot(in *Rows, keyCols []string, attrCol, valCol string) (*Rows, error) {
 // groupKeys extracts the concatenated key strings of keyIdx chunk-parallel.
 func groupKeys(data []Row, keyIdx []int) []string {
 	return ParallelRowKeys(data, func(row Row) string {
-		var kb strings.Builder
+		var buf [64]byte
+		b := buf[:0]
 		for _, k := range keyIdx {
-			kb.WriteString(row[k].Key())
-			kb.WriteByte(0x1f)
+			b = append(row[k].AppendKey(b), 0x1f)
 		}
-		return kb.String()
+		return string(b)
 	})
 }
 

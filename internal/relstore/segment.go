@@ -337,17 +337,16 @@ func (s *SegmentSet) segment(i int) ([]Row, error) {
 	return rows, nil
 }
 
-// Segment materializes segment i as a Rows snapshot (rows cloned, safe to
-// retain).
+// Segment returns segment i as a Rows snapshot: a fresh slice whose rows
+// are shared with the segment cache and must be treated read-only, like the
+// rows a Table hands out.
 func (s *SegmentSet) Segment(i int) (*Rows, error) {
 	rows, err := s.segment(i)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]Row, len(rows))
-	for j, r := range rows {
-		out[j] = r.Clone()
-	}
+	copy(out, rows)
 	return &Rows{Schema: s.schema, Data: out}, nil
 }
 
@@ -384,18 +383,17 @@ func (s *SegmentSet) Select(pred Pred) (*Rows, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, r := range part.Data {
-			out = append(out, r.Clone())
-		}
+		out = append(out, part.Data...)
 	}
 	return &Rows{Schema: s.schema, Data: out}, nil
 }
 
-// Rows materializes the whole relation, ignoring the budget.
+// Rows materializes the whole relation, ignoring the budget. Like every
+// SegmentSet read it shares its rows with the segment cache.
 func (s *SegmentSet) Rows() (*Rows, error) {
 	out := make([]Row, 0, s.hdr.Rows)
 	err := s.Scan(func(r Row) bool {
-		out = append(out, r.Clone())
+		out = append(out, r)
 		return true
 	})
 	if err != nil {

@@ -9,6 +9,11 @@ import (
 // Table is a named, mutable relation with optional hash indexes. Tables are
 // safe for concurrent use.
 //
+// Stored rows are immutable and shared: Insert and Update copy rows on the
+// way in, mutations replace or drop whole rows and never write into one, so
+// every read path hands out a fresh []Row whose rows are the stored ones
+// instead of copies. Callers must treat rows they read as read-only.
+//
 // Indexes reference rows through stable row IDs rather than storage
 // positions: ids maps a position to its row's ID and pos maps an ID back to
 // the current position. Deleting rows therefore only edits the doomed rows'
@@ -141,44 +146,23 @@ func (t *Table) Delete(pred Pred) (int, error) {
 	defer t.mu.Unlock()
 
 	var doomed []int
-	probe := func(ids []int, rest Pred) error {
-		for _, id := range ids {
-			p := t.pos[id]
-			ok, err := evalPred(rest, t.rows[p], t.schema)
-			if err != nil {
-				return err
-			}
-			if ok {
-				doomed = append(doomed, p)
-			}
+	doom := func(p int, pred Pred) error {
+		ok, err := evalPred(pred, t.rows[p], t.schema)
+		if ok {
+			doomed = append(doomed, p)
 		}
-		return nil
+		return err
 	}
-	if col, v, rest, ok := t.indexableEqLocked(pred); ok {
-		if err := probe(t.indexes[col].buckets[v.Key()], rest); err != nil {
-			return 0, err
-		}
-	} else if col, vs, rest, ok := t.indexableInLocked(pred); ok {
-		idx := t.indexes[col]
-		seen := make(map[string]bool, len(vs))
-		for _, v := range vs {
-			k := v.Key()
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			if err := probe(idx.buckets[k], rest); err != nil {
+	if candidates, rest, ok := t.indexProbeLocked(pred); ok {
+		for _, p := range candidates {
+			if err := doom(p, rest); err != nil {
 				return 0, err
 			}
 		}
 	} else {
-		for p, r := range t.rows {
-			ok, err := evalPred(pred, r, t.schema)
-			if err != nil {
+		for p := range t.rows {
+			if err := doom(p, pred); err != nil {
 				return 0, err
-			}
-			if ok {
-				doomed = append(doomed, p)
 			}
 		}
 	}
@@ -287,20 +271,53 @@ func (t *Table) rebuildIndexesLocked() {
 	}
 }
 
-// bucketPositionsLocked maps a bucket's row IDs to their current storage
-// positions, sorted ascending so index probes yield rows in the same order a
-// full scan would. Callers must hold t.mu.
-func (t *Table) bucketPositionsLocked(ids []int) []int {
-	ps := make([]int, len(ids))
-	for i, id := range ids {
-		ps[i] = t.pos[id]
+// indexProbeLocked recognizes a predicate with an indexable equality or IN
+// conjunct and returns, in storage order, the positions of the rows that
+// satisfy that conjunct, plus the residual predicate the caller still has
+// to evaluate. ok is false when no conjunct can use an index. Callers must
+// hold t.mu.
+func (t *Table) indexProbeLocked(pred Pred) (positions []int, rest Pred, ok bool) {
+	if col, v, rest, ok := t.indexableEqLocked(pred); ok {
+		return t.probeLocked(col, []Value{v}), rest, true
+	}
+	if col, vs, rest, ok := t.indexableInLocked(pred); ok {
+		return t.probeLocked(col, vs), rest, true
+	}
+	return nil, nil, false
+}
+
+// probeLocked returns, in storage order — the order a full scan yields —
+// the positions of the rows whose indexed column col is Equal to one of vs.
+// Equal values share a key but a shared key does not imply Equal (large
+// integers can collide), so every bucket candidate is re-checked. Callers
+// must hold t.mu.
+func (t *Table) probeLocked(col string, vs []Value) []int {
+	idx := t.indexes[col]
+	byKey := make(map[string][]Value, len(vs))
+	for _, v := range vs {
+		k := v.Key()
+		byKey[k] = append(byKey[k], v)
+	}
+	var ps []int
+	for k, want := range byKey {
+		for _, id := range idx.buckets[k] {
+			p := t.pos[id]
+			got := t.rows[p][idx.col]
+			for _, w := range want {
+				if got.Equal(w) {
+					ps = append(ps, p)
+					break
+				}
+			}
+		}
 	}
 	sort.Ints(ps)
 	return ps
 }
 
-// Lookup returns clones of the rows whose indexed column equals v. It falls
-// back to a scan when no index exists on the column.
+// Lookup returns the rows whose column equals v, shared with the table (see
+// Table). It probes a hash index on the column when one exists and scans
+// otherwise.
 func (t *Table) Lookup(col string, v Value) ([]Row, error) {
 	ci := t.schema.Index(col)
 	if ci < 0 {
@@ -308,25 +325,25 @@ func (t *Table) Lookup(col string, v Value) ([]Row, error) {
 	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if idx, ok := t.indexes[col]; ok {
-		positions := t.bucketPositionsLocked(idx.buckets[v.Key()])
-		out := make([]Row, 0, len(positions))
-		for _, p := range positions {
-			out = append(out, t.rows[p].Clone())
+	if _, ok := t.indexes[col]; ok {
+		positions := t.probeLocked(col, []Value{v})
+		out := make([]Row, len(positions))
+		for i, p := range positions {
+			out[i] = t.rows[p]
 		}
 		return out, nil
 	}
 	var out []Row
 	for _, r := range t.rows {
 		if r[ci].Equal(v) {
-			out = append(out, r.Clone())
+			out = append(out, r)
 		}
 	}
 	return out, nil
 }
 
-// Scan calls fn for every row. The row passed to fn must not be mutated or
-// retained; clone it if needed. Scanning stops early if fn returns false.
+// Scan calls fn for every row. The row passed to fn must not be mutated.
+// Scanning stops early if fn returns false.
 func (t *Table) Scan(fn func(Row) bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -337,17 +354,15 @@ func (t *Table) Scan(fn func(Row) bool) {
 	}
 }
 
-// Select scans the table and returns clones of the rows matching pred (nil
-// keeps everything) — unlike Rows()+Select, non-matching rows are never
-// cloned, which is what layout-level predicate pushdown buys. When the
-// predicate contains an equality on a hash-indexed column, the index probes
-// the candidate rows instead of scanning.
+// Select returns a fresh slice of the rows matching pred (nil keeps
+// everything); the rows themselves are shared with the table (see Table).
+// When the predicate has an equality or IN conjunct on a hash-indexed
+// column, the index probes the candidate rows instead of scanning, and the
+// result is the one the scan would give, in the same order.
 func (t *Table) Select(pred Pred) (*Rows, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if col, v, rest, ok := t.indexableEqLocked(pred); ok {
-		idx := t.indexes[col]
-		positions := t.bucketPositionsLocked(idx.buckets[v.Key()])
+	if positions, rest, ok := t.indexProbeLocked(pred); ok {
 		out := make([]Row, 0, len(positions))
 		for _, p := range positions {
 			r := t.rows[p]
@@ -356,45 +371,15 @@ func (t *Table) Select(pred Pred) (*Rows, error) {
 				return nil, err
 			}
 			if keep {
-				out = append(out, r.Clone())
-			}
-		}
-		return &Rows{Schema: t.schema, Data: out}, nil
-	}
-	if col, vs, rest, ok := t.indexableInLocked(pred); ok {
-		idx := t.indexes[col]
-		var positions []int
-		seenBucket := make(map[string]bool, len(vs))
-		for _, v := range vs {
-			k := v.Key()
-			if seenBucket[k] {
-				continue
-			}
-			seenBucket[k] = true
-			for _, id := range idx.buckets[k] {
-				positions = append(positions, t.pos[id])
-			}
-		}
-		// Buckets come back in probe order; restore storage order so the
-		// result is identical to what the scan path would produce.
-		sort.Ints(positions)
-		out := make([]Row, 0, len(positions))
-		for _, p := range positions {
-			r := t.rows[p]
-			keep, err := evalPred(rest, r, t.schema)
-			if err != nil {
-				return nil, err
-			}
-			if keep {
-				out = append(out, r.Clone())
+				out = append(out, r)
 			}
 		}
 		return &Rows{Schema: t.schema, Data: out}, nil
 	}
 	// No usable index: run the columnar scan kernel over the stored rows
-	// (chunk-parallel mask, then an ordered gather of clones). This is the
-	// path layout-level predicate pushdown lands on — serve's extract
-	// filters arrive here as Preds, not post-hoc row filters.
+	// (chunk-parallel mask, then an ordered gather). This is the path
+	// layout-level predicate pushdown lands on — serve's extract filters
+	// arrive here as Preds, not post-hoc row filters.
 	in := &Rows{Schema: t.schema, Data: t.rows}
 	mask, err := predMask(pred, in)
 	if err != nil {
@@ -403,7 +388,7 @@ func (t *Table) Select(pred Pred) (*Rows, error) {
 	var out []Row
 	for i, keep := range mask {
 		if keep {
-			out = append(out, t.rows[i].Clone())
+			out = append(out, t.rows[i])
 		}
 	}
 	return &Rows{Schema: t.schema, Data: out}, nil
@@ -515,14 +500,13 @@ func (t *Table) ScanSince(col string, after Value, fn func(Row) bool) error {
 	return nil
 }
 
-// Rows returns a snapshot Rows result of the whole table.
+// Rows returns a snapshot of the whole table: a fresh slice whose rows are
+// shared with the table (see Table).
 func (t *Table) Rows() *Rows {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	out := make([]Row, len(t.rows))
-	for i, r := range t.rows {
-		out[i] = r.Clone()
-	}
+	copy(out, t.rows)
 	return &Rows{Schema: t.schema, Data: out}
 }
 
@@ -588,6 +572,32 @@ func (d *DB) Has(name string) bool {
 	defer d.mu.RUnlock()
 	_, ok := d.tables[name]
 	return ok
+}
+
+// Replace drops any table with the name and creates it afresh, holding
+// rows under rows.Schema. Every row is validated first, so a failed Replace
+// leaves the database unchanged. The new table adopts rows.Data without
+// copying a row: the caller hands the slice and its rows over and must not
+// modify them afterward.
+func (d *DB) Replace(name string, rows *Rows) (*Table, error) {
+	for _, r := range rows.Data {
+		if err := rows.Schema.Validate(r); err != nil {
+			return nil, fmt.Errorf("replace %s: %w", name, err)
+		}
+	}
+	n := len(rows.Data)
+	t := NewTable(name, rows.Schema)
+	t.rows = rows.Data[:n:n]
+	t.ids = make([]int, n)
+	t.pos = make([]int, n)
+	for i := range t.ids {
+		t.ids[i] = i
+		t.pos[i] = i
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.tables[name] = t
+	return t, nil
 }
 
 // Drop removes a table.

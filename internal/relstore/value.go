@@ -1,7 +1,9 @@
 package relstore
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -191,26 +193,65 @@ func (v Value) Compare(o Value) int {
 	return 0
 }
 
-// Key returns a map-key form of the value, suitable for hash indexes and
-// hash joins. Numerically equal int/float values share a key.
+// maxExactInt bounds the integers whose keys take the varint form: every
+// integer strictly inside ±2^53 converts to and from float64 exactly, so an
+// int and a float that are Equal there are the same integer. At 2^53 and
+// beyond, int-to-float conversion rounds (Int(2^53+1) is Equal to
+// Float(2^53)), so those numbers are keyed by their float64 image instead.
+const maxExactInt = 1 << 53
+
+// canonicalNaN is the one key payload every NaN maps to.
+var canonicalNaN = math.Float64bits(math.NaN())
+
+// Key returns a compact typed map-key form of the value, suitable for hash
+// indexes and hash joins. It lives in memory only and is never persisted.
+// Numerically equal int/float values share a key: integral numbers inside
+// ±2^53 key as 'i' plus a varint, other numbers as 'f' plus their 8
+// big-endian float64 bits, with -0 normalized to 0 and every NaN to one key.
+// Equal values always share a key; sharing a key does not imply Equal
+// (integers beyond ±2^53 that round to one float64 collide), so index
+// probes re-check candidates with Equal.
 func (v Value) Key() string {
+	if v.kind == KindString {
+		return "s" + v.s
+	}
+	var buf [10]byte
+	return string(v.AppendKey(buf[:0]))
+}
+
+// AppendKey appends v's Key to dst: the allocation-free form that composite
+// keys and map probes are built from.
+func (v Value) AppendKey(dst []byte) []byte {
 	switch v.kind {
 	case KindNull:
-		return "n"
+		return append(dst, 'n')
 	case KindInt:
-		return "f" + strconv.FormatFloat(float64(v.i), 'g', -1, 64)
+		if v.i > -maxExactInt && v.i < maxExactInt {
+			return binary.AppendVarint(append(dst, 'i'), v.i)
+		}
+		return appendFloatKey(dst, float64(v.i))
 	case KindFloat:
-		return "f" + strconv.FormatFloat(v.f, 'g', -1, 64)
+		return appendFloatKey(dst, v.f)
 	case KindString:
-		return "s" + v.s
+		return append(append(dst, 's'), v.s...)
 	case KindBool:
 		if v.b {
-			return "bt"
+			return append(dst, 'b', 't')
 		}
-		return "bf"
+		return append(dst, 'b', 'f')
 	default:
-		return "?"
+		return append(dst, '?')
 	}
+}
+
+func appendFloatKey(dst []byte, f float64) []byte {
+	switch {
+	case f != f:
+		return binary.BigEndian.AppendUint64(append(dst, 'f'), canonicalNaN)
+	case f > -maxExactInt && f < maxExactInt && f == math.Trunc(f):
+		return binary.AppendVarint(append(dst, 'i'), int64(f))
+	}
+	return binary.BigEndian.AppendUint64(append(dst, 'f'), math.Float64bits(f))
 }
 
 // Truthy interprets the value as a condition result: TRUE booleans, non-zero
@@ -321,10 +362,10 @@ func (r Row) Equal(o Row) bool {
 
 // Key concatenates the value keys of the row, for hashing whole tuples.
 func (r Row) Key() string {
-	var sb strings.Builder
+	var buf [64]byte
+	b := buf[:0]
 	for _, v := range r {
-		sb.WriteString(v.Key())
-		sb.WriteByte(0x1f)
+		b = append(v.AppendKey(b), 0x1f)
 	}
-	return sb.String()
+	return string(b)
 }

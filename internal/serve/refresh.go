@@ -75,6 +75,8 @@ func (s *Server) refresh(ctx context.Context, st *servedStudy, kind string) (etl
 // current generation's table (empty before the first refresh) under the
 // compiled output's name. The copy is what makes the swap safe — the
 // published table is never mutated, so no reader observes a partial patch.
+// Only the row slice is copied: stored rows are immutable, so the two
+// tables share them.
 func stage(st *servedStudy, cur *generation, compiled *etl.Compiled) (*relstore.DB, *relstore.Table, error) {
 	schema, err := compiled.Spec.OutputSchema()
 	if err != nil {
@@ -84,14 +86,13 @@ func stage(st *servedStudy, cur *generation, compiled *etl.Compiled) (*relstore.
 		return nil, nil, fmt.Errorf("serve: study %q refresh produced a different schema", st.name)
 	}
 	staging := relstore.NewDB("warehouse_" + st.name)
-	next, err := staging.CreateTable(compiled.Output.Table, schema)
+	rows := &relstore.Rows{Schema: schema}
+	if cur != nil {
+		rows.Data = cur.table.Rows().Data
+	}
+	next, err := staging.Replace(compiled.Output.Table, rows)
 	if err != nil {
 		return nil, nil, err
-	}
-	if cur != nil {
-		if err := next.InsertAll(cur.table.Rows().Data); err != nil {
-			return nil, nil, err
-		}
 	}
 	return staging, next, nil
 }
